@@ -54,8 +54,9 @@ void TaskGroup::on_complete(ExecutionKind kind, float significance,
   }
 
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task: wake barrier waiters.  Lock/unlock pairs with wait() to
-    // close the check-then-sleep window — and with add_intask_waiter(),
+    // Last task: wake barrier waiters.  Lock/unlock pairs with the
+    // blocking waiter's predicate check under wait_mutex_ to close the
+    // check-then-sleep window — and with add_intask_waiter(),
     // whose registration under the same mutex either lands before this
     // broadcast (and is woken here) or after (and re-checks pending==0
     // before parking).  Waiters are notified in place, not removed: each
@@ -81,20 +82,6 @@ void TaskGroup::remove_intask_waiter(BarrierWaiter* w) {
       return;
     }
   }
-}
-
-void TaskGroup::wait() const {
-  support::MutexLock lock(wait_mutex_);
-  wait_cv_.wait(lock.native(), [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-bool TaskGroup::wait_for(std::chrono::milliseconds timeout) const {
-  support::MutexLock lock(wait_mutex_);
-  return wait_cv_.wait_for(lock.native(), timeout, [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
 }
 
 GroupReport TaskGroup::report() const {

@@ -7,7 +7,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <string>
@@ -125,15 +124,16 @@ class TaskGroup {
   /// Sentinel worker_slot for callers with no worker identity.
   static constexpr unsigned kNoWorkerSlot = ~0u;
 
-  /// Blocks until every spawned task has completed.
-  void wait() const;
-
-  /// Bounded wait: blocks until the group quiesced or `timeout` elapsed;
-  /// returns true when pending reached zero.  Runtime barriers use this to
-  /// interleave waiting with policy re-flushes — a task body may spawn
-  /// into a buffering policy's window DURING the barrier, and the window
-  /// would otherwise never flush.
-  [[nodiscard]] bool wait_for(std::chrono::milliseconds timeout) const;
+  /// Barrier channel: the quiescence broadcast in on_complete notifies
+  /// this condvar under this mutex once pending reaches zero.  Blocking
+  /// waiters (Runtime::wait_group from a non-task thread) sleep on it.
+  [[nodiscard]] support::Mutex& wait_mutex() const noexcept
+      SIGRT_RETURN_CAPABILITY(wait_mutex_) {
+    return wait_mutex_;
+  }
+  [[nodiscard]] std::condition_variable& wait_cv() const noexcept {
+    return wait_cv_;
+  }
 
   [[nodiscard]] std::uint64_t pending() const noexcept {
     return pending_.load(std::memory_order_acquire);

@@ -1,12 +1,11 @@
-// Per-thread two-phase parker and the barrier-waiter handle that wires a
-// task's last-child completion (or a group's quiescence) to whatever the
-// waiting thread is currently sleeping on.
+// The barrier-waiter handle that wires a barrier's completion side — a
+// task's last child, a group's quiescence, a wait_on fence — to whatever
+// the waiting thread is currently sleeping on.
 //
-// Why this exists: an in-task taskwait is a *helping* barrier — the waiter
-// keeps executing other tasks — but when nothing is acquirable the awaited
-// children are in flight on other threads and, before this header, the
-// waiter could only poll (yield escalating to 50 µs sleeps).  Completions
-// now notify the waiter directly:
+// An in-task taskwait is a *helping* barrier — the waiter keeps executing
+// other tasks — but when nothing is acquirable the awaited tasks are in
+// flight on other threads.  The completion side then notifies the waiter
+// directly instead of the waiter polling:
 //
 //   waiter                                 completer (last child)
 //   ------                                 ---------
@@ -22,10 +21,11 @@
 //
 // A waiter may be parked in one of two ways — on its *scheduler eventcount
 // slot* (a slot-owning worker: producer wakes keep reaching it, so new work
-// still gets helped) or on the Parker below (a thread that handed its slot
-// to a spare and is blocked for real).  notify() covers both targets; a
-// notification aimed at a stale target only wakes somebody spuriously, and
-// every park in this codebase re-checks its condition on wake.
+// still gets helped) or on the handle's own ParkSlot (a thread that owns no
+// slot: it handed its slot to a spare, or the runtime runs inline).
+// notify() covers both targets; a notification aimed at a stale target
+// only wakes somebody spuriously, and every park in this codebase
+// re-checks its condition on wake.
 //
 // Lifetime: BarrierWaiter handles are leased per thread from an immortal
 // freelist (this_thread_waiter()).  A completer that loaded the pointer
@@ -36,103 +36,31 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 
+#include "core/eventcount.hpp"
 #include "support/mutex.hpp"
 
 namespace sigrt {
 
-/// One-thread two-phase park/unpark: the single-slot analogue of
-/// EventCount (see eventcount.hpp for the protocol discussion).  Used by
-/// blocked (slot-less) barrier waiters, where no producer needs to find
-/// the sleeper — only the barrier's completion side does.
-class Parker {
- public:
-  /// Phase 1 (owner thread): announce intent to sleep.  Follow with a
-  /// re-check of the wait condition, then cancel_park() or park().
-  void prepare_park() noexcept {
-    state_.store(kParked, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
-
-  /// Re-check found the condition satisfied: revoke (swallowing any
-  /// notification that raced in).
-  void cancel_park() noexcept {
-    state_.exchange(kIdle, std::memory_order_acq_rel);
-  }
-
-  /// Phase 2: block until unpark() arrives (returns immediately when one
-  /// raced in between prepare and park).
-  void park() {
-    support::MutexLock lock(mutex_);
-    while (state_.load(std::memory_order_acquire) == kParked) {
-      cv_.wait(lock.native());
-    }
-    state_.store(kIdle, std::memory_order_release);
-  }
-
-  /// Timed phase 2: wakes on notification or after `timeout` (whichever is
-  /// first) — barrier waiters under a buffering policy must surface
-  /// periodically to re-flush the policy window.
-  void park_for(std::chrono::microseconds timeout) {
-    support::MutexLock lock(mutex_);
-    cv_.wait_for(lock.native(), timeout, [this] {
-      return state_.load(std::memory_order_acquire) != kParked;
-    });
-    state_.store(kIdle, std::memory_order_release);
-  }
-
-  /// Any thread: wake the owner iff it is parked (or mid-park).  No token
-  /// is stored for an idle owner — the two-phase re-check makes one
-  /// unnecessary, exactly as in EventCount::notify.
-  void unpark() noexcept {
-    std::uint32_t expected = kParked;
-    if (!state_.compare_exchange_strong(expected, kNotified,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-      return;
-    }
-    { support::MutexLock lock(mutex_); }
-    cv_.notify_one();
-  }
-
- private:
-  enum : std::uint32_t { kIdle = 0, kParked = 1, kNotified = 2 };
-  std::atomic<std::uint32_t> state_{kIdle};
-  support::Mutex mutex_;  // slow path only: actual sleeping
-  std::condition_variable cv_;
-};
-
 /// The wake-target handle a barrier waiter registers on a Task (children
-/// scope) or TaskGroup (quiescence scope).  notify() is safe from any
-/// thread at any time: it touches only this handle, which the freelist
-/// keeps alive for the program's lifetime.
+/// scope) or TaskGroup (quiescence scope), or hands to a wait_on fence.
+/// notify() is safe from any thread at any time: it touches only this
+/// handle, which the freelist keeps alive for the program's lifetime.
 struct BarrierWaiter {
-  Parker parker;
+  /// Park target while the waiter owns no scheduler slot.
+  ParkSlot slot;
 
-  /// When the waiter is parked on a scheduler eventcount slot, these name
-  /// it: sched_notify(sched, worker) delivers the wake (a trampoline to
-  /// Scheduler::notify_worker — kept as an erased pointer so this header
-  /// depends on neither scheduler.hpp nor vice versa).  sched == nullptr
-  /// means the waiter is parker-parked (or not parked at all).
-  std::atomic<void*> sched{nullptr};
-  std::atomic<unsigned> worker{0};
-  /// Atomic because a STALE notifier (from a barrier this waiter already
-  /// left — tolerated, it is just a spurious wake) may read it while the
-  /// waiter re-registers for a new park.  The sched release/acquire pair
-  /// still orders the store for current notifiers, and the value is the
-  /// same trampoline every time, so relaxed accesses suffice.
-  std::atomic<void (*)(void*, unsigned)> sched_notify{nullptr};
+  /// The scheduler eventcount slot the waiter is parked on while it owns a
+  /// worker slot; nullptr means it parks on `slot` (or is not parked).
+  std::atomic<ParkSlot*> worker_slot{nullptr};
 
   BarrierWaiter* next_free = nullptr;  ///< freelist linkage (under its mutex)
 
   void notify() noexcept {
-    if (void* s = sched.load(std::memory_order_acquire)) {
-      sched_notify.load(std::memory_order_relaxed)(
-          s, worker.load(std::memory_order_relaxed));
+    if (ParkSlot* s = worker_slot.load(std::memory_order_acquire)) {
+      s->notify();
     }
-    parker.unpark();
+    slot.notify();
   }
 };
 
@@ -156,7 +84,7 @@ struct WaiterLease {
   BarrierWaiter* w = nullptr;
   ~WaiterLease() {
     if (w == nullptr) return;
-    w->sched.store(nullptr, std::memory_order_relaxed);
+    w->worker_slot.store(nullptr, std::memory_order_relaxed);
     WaiterFreelist& fl = waiter_freelist();
     support::MutexLock lock(fl.mutex);
     w->next_free = fl.head;

@@ -70,14 +70,12 @@ struct ScratchPool {
 };
 thread_local ScratchPool tls_scratch_pool;
 
-// Dependence-tracker stripe count: explicit config wins (snapped to a
-// power of two within the tracker's mask-width ceiling), otherwise the CPU
-// topology recommends ~4 stripes per worker.
-unsigned resolve_dep_stripes(const RuntimeConfig& config) {
-  const unsigned workers = config.workers == 0 ? 1 : config.workers;
-  unsigned stripes = config.dep_stripes != 0
-                         ? config.dep_stripes
-                         : topo::system_topology().recommended_stripes(workers);
+// Dependence-tracker stripe count: the CPU topology recommends ~4 stripes
+// per worker, snapped to a power of two within the tracker's mask-width
+// ceiling.
+unsigned tracker_stripes(unsigned workers) {
+  unsigned stripes =
+      topo::system_topology().recommended_stripes(workers == 0 ? 1 : workers);
   if (stripes < 1) stripes = 1;
   if (stripes > dep::BlockTracker::kMaxStripes) {
     stripes = dep::BlockTracker::kMaxStripes;
@@ -110,7 +108,7 @@ TaskId current_task_id() noexcept {
 
 Runtime::Runtime(RuntimeConfig config)
     : config_(config),
-      tracker_(config.block_bytes, resolve_dep_stripes(config)),
+      tracker_(config.block_bytes, tracker_stripes(config.workers)),
       policy_(make_policy(config)),
       pass_through_(policy_->pass_through()),
       group_table_(new std::atomic<TaskGroup*>[kGroupFastTableSize]),
@@ -127,12 +125,6 @@ Runtime::Runtime(RuntimeConfig config)
   // worker-local history, with no locks on the path.  The hooks are plain
   // function pointers over `this` — captureless trampolines, no
   // std::function type erasure anywhere on the execute path.
-  // Elastic-pool sizing rides the config; event_wakeup=false is the pure
-  // PR-5 baseline, so it also zeroes the spare budget (no handoffs ever).
-  SchedulerOptions sched_options;
-  sched_options.max_spares =
-      config_.event_wakeup ? config_.max_spare_threads : 0;
-  sched_options.spare_grace = std::chrono::milliseconds(config_.spare_grace_ms);
   scheduler_ = std::make_unique<Scheduler>(
       config_.workers, config_.unreliable_workers, config_.steal, this,
       [](void* self, Task& task, unsigned worker) {
@@ -140,8 +132,7 @@ Runtime::Runtime(RuntimeConfig config)
       },
       [](void* self, Task& task, unsigned worker) {
         static_cast<Runtime*>(self)->classify_at_dequeue(task, worker);
-      },
-      sched_options);
+      });
 
   meter_ = energy::make_best_meter(this);
 }
@@ -243,8 +234,7 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   // §6 check/redo: an accurate task whose validator + redo budget make a
   // corrupted result recoverable may execute on unreliable workers — the
   // partition rule (Scheduler::eligible_for_unreliable) reads this flag.
-  task->unreliable_ok = config_.checked_tasks_on_unreliable &&
-                        task->check && task->max_redos > 0 &&
+  task->unreliable_ok = task->check && task->max_redos > 0 &&
                         config_.unreliable_workers > 0;
   task->significance =
       static_cast<float>(std::clamp(options.significance, 0.0, 1.0));
@@ -595,10 +585,10 @@ void Runtime::execute_task(Task& task, unsigned worker) {
   // before the barrier opens; then drop the child's pin on the parent.
   if (Task* parent = task.parent) {
     if (parent->children.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last child: wake a parked taskwait waiter (event_wakeup).  The
-      // fence pairs Dekker-style with the waiter's register-then-recheck
-      // (see parker.hpp): either this load sees the registered handle, or
-      // the waiter's post-registration recheck sees children == 0.  The
+      // Last child: wake a parked taskwait waiter.  The fence pairs
+      // Dekker-style with the waiter's register-then-recheck (see
+      // parker.hpp): either this load sees the registered handle, or the
+      // waiter's post-registration recheck sees children == 0.  The
       // notify must precede parent->release(): the waiter slot lives in
       // the parent, which this release may recycle.
       std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -620,7 +610,8 @@ void Runtime::on_task_finished() {
 }
 
 template <typename Done>
-void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
+void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup,
+                         BarrierWaiter* waiter) {
   // Helping barrier: a worker inside a task body must never block its OS
   // thread on a barrier — every worker doing so (recursive fan-out does
   // exactly this) would deadlock the pool.  Instead the waiter keeps
@@ -628,37 +619,27 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
   // then inbox/steals.
   //
   // Each nested barrier frame deepens the C++ stack by whatever the helped
-  // bodies use, so helping depth is capped (config_.helping_depth): a
-  // waiter past the cap hands its worker slot to a spare thread
-  // (detach_for_blocking) and blocks for real — parallelism survives on
-  // the spare, the stack stops growing here.  When the spare budget is
-  // exhausted, liveness wins over the stack bound and the waiter keeps
-  // helping.
+  // bodies use, so helping depth is capped (kHelpingDepth): a waiter past
+  // the cap hands its worker slot to a spare thread (detach_for_blocking)
+  // and blocks for real — parallelism survives on the spare, the stack
+  // stops growing here.  When the spare budget is exhausted, liveness wins
+  // over the stack bound and the waiter keeps helping.
   struct DepthFrame {
     unsigned& depth;
     explicit DepthFrame(unsigned& d) : depth(d) { ++depth; }
     ~DepthFrame() { --depth; }
   } depth_frame(tls_help_depth);
 
-  // Event-driven wakeup needs a completion-side scope to hook: a task's
-  // last child (wtask) or a group's quiescence (wgroup).  Without one
-  // (wait_on's fence flag), or with event_wakeup off, fall back to the
-  // poll backoff — yield escalating to 50 µs sleeps, the PR-5 baseline.
-  const bool event = config_.event_wakeup && !scheduler_->inline_mode() &&
-                     (wtask != nullptr || wgroup != nullptr);
-  // Blocked mode: this thread no longer owns a worker slot (an enclosing
-  // barrier or BlockingSection already detached it) — it must not execute
-  // further task bodies on this stack, only park on its Parker.
-  bool blocked_mode = event && !scheduler_->owns_current_slot();
-
-  BarrierWaiter* waiter = nullptr;  // registered lazily, on first park
+  // A thread without a worker slot (detached by this frame, an enclosing
+  // one or a BlockingSection) must not execute further task bodies on this
+  // stack: help_one() refuses it, so it only parks, on its waiter's slot.
+  // Inline mode owns no slot either, but helps its inline queue.
   int idle = 0;
   while (!done()) {
-    if (event && !blocked_mode && tls_help_depth > config_.helping_depth &&
-        scheduler_->detach_for_blocking()) {
-      blocked_mode = true;
+    if (tls_help_depth > kHelpingDepth) {
+      (void)scheduler_->detach_for_blocking();  // no-op without a slot
     }
-    if (!blocked_mode && scheduler_->help_one()) {
+    if (scheduler_->help_one()) {
       idle = 0;
       continue;
     }
@@ -670,16 +651,20 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
     // policy, re-flush before sleeping: a task executed meanwhile (here or
     // on another worker) may have spawned into a window, and the barrier's
     // entry-time flush cannot have seen it — without this the awaited task
-    // sits in the buffer forever.
-    if (!pass_through_) policy_->flush(kAllGroups, *this);
-    if (!event) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      continue;
+    // sits in the buffer forever.  What the flush released is helped
+    // before parking.
+    if (!pass_through_) {
+      policy_->flush(kAllGroups, *this);
+      if (scheduler_->help_one()) {
+        idle = 0;
+        continue;
+      }
     }
     // Park until the completion side notifies (see parker.hpp for the
-    // Dekker pairing with the completer).  Registration happens once and
-    // stays in place across parks; buffering policies use timed parks so
-    // the flush above re-runs periodically.
+    // Dekker pairing with the completer).  Registration happens once, on
+    // the first park, and stays in place across parks (a wait_on fence
+    // already holds its caller-provided waiter); buffering policies use
+    // timed parks so the flush above re-runs periodically.
     if (waiter == nullptr) {
       waiter = this_thread_waiter();
       if (wtask != nullptr) {
@@ -688,35 +673,29 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
         wgroup->add_intask_waiter(waiter);
       }
     }
-    if (blocked_mode) {
-      waiter->sched.store(nullptr, std::memory_order_release);
-      waiter->parker.prepare_park();
-      if (done()) {
-        waiter->parker.cancel_park();
-        break;
-      }
-      if (pass_through_) {
-        waiter->parker.park();
-      } else {
-        waiter->parker.park_for(std::chrono::microseconds(1000));
-      }
-    } else {
+    const std::chrono::microseconds timeout(pass_through_ ? 0 : 1000);
+    if (scheduler_->owns_current_slot()) {
       // Slot-owning waiter parks on its scheduler eventcount slot, so
       // producer wakes (new work published to this worker) reach it too —
-      // it surfaces, helps, and re-parks.  The completion notify routes
-      // through sched_notify -> Scheduler::notify_worker.
-      waiter->worker.store(scheduler_->current_worker(),
-                           std::memory_order_relaxed);
-      waiter->sched_notify.store(
-          [](void* s, unsigned i) {
-            static_cast<Scheduler*>(s)->notify_worker(i);
-          },
-          std::memory_order_relaxed);
-      waiter->sched.store(scheduler_.get(), std::memory_order_release);
+      // it surfaces, helps, and re-parks.  The completion notify reaches
+      // the same slot through the waiter's worker_slot.
+      waiter->worker_slot.store(&scheduler_->current_park_slot(),
+                                std::memory_order_release);
       scheduler_->park_worker_for_barrier(
           [](void* ctx) { return (*static_cast<Done*>(ctx))(); }, &done,
-          pass_through_ ? std::chrono::microseconds(0)
-                        : std::chrono::microseconds(1000));
+          timeout);
+      continue;
+    }
+    waiter->worker_slot.store(nullptr, std::memory_order_release);
+    waiter->slot.prepare_wait();
+    if (done()) {
+      waiter->slot.cancel_wait();
+      break;
+    }
+    if (timeout.count() > 0) {
+      waiter->slot.commit_wait_for(timeout);
+    } else {
+      waiter->slot.commit_wait();
     }
   }
   if (waiter != nullptr) {
@@ -725,7 +704,7 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
     } else if (wgroup != nullptr) {
       wgroup->remove_intask_waiter(waiter);
     }
-    waiter->sched.store(nullptr, std::memory_order_release);
+    waiter->worker_slot.store(nullptr, std::memory_order_release);
   }
 }
 
@@ -740,31 +719,32 @@ void Runtime::wait_all() {
         [self] {
           return self->children.load(std::memory_order_acquire) == 0;
         },
-        /*wtask=*/self);
+        /*wtask=*/self, /*wgroup=*/nullptr);
     rethrow_pending_error();
     return;
   }
-  blocking_wait([this] {
+  blocking_wait(wait_mutex_, wait_cv_, [this] {
     return pending_.load(std::memory_order_acquire) == 0;
   });
   rethrow_pending_error();
 }
 
 template <typename Done>
-void Runtime::blocking_wait(Done done) {
-  support::MutexLock lock(wait_mutex_);
+void Runtime::blocking_wait(support::Mutex& mutex, std::condition_variable& cv,
+                            Done done) {
+  support::MutexLock lock(mutex);
   if (pass_through_) {
     // Nothing ever sits in a pass-through policy: a pure sleep, woken by
     // the barrier condition's crossing.  (A timed poll here measurably
     // preempts the workers on single-CPU boxes — keep it wake-driven.)
-    wait_cv_.wait(lock.native(), done);
+    cv.wait(lock.native(), done);
     return;
   }
   // Buffering policy: task bodies may spawn into a window DURING this
   // barrier (nested spawn with no in-task taskwait), and the barrier's
   // entry flush cannot have seen those — re-flush on every timeout so the
   // barrier stays live.  The condition's wake still arrives immediately.
-  while (!wait_cv_.wait_for(lock.native(), std::chrono::milliseconds(1), done)) {
+  while (!cv.wait_for(lock.native(), std::chrono::milliseconds(1), done)) {
     lock.unlock();
     policy_->flush(kAllGroups, *this);
     lock.lock();
@@ -808,16 +788,10 @@ void Runtime::wait_group(GroupId group) {
     rethrow_pending_error();
     return;
   }
-  // Same split as wait_all: wake-driven under pass-through policies, a
-  // timed re-flush loop under buffering ones (a body may spawn group
-  // members into a window during the barrier).
-  if (pass_through_) {
-    g.wait();
-  } else {
-    while (!g.wait_for(std::chrono::milliseconds(1))) {
-      policy_->flush(kAllGroups, *this);
-    }
-  }
+  // The group's quiescence broadcast wakes its own condvar; a body may
+  // spawn group members into a window during the barrier, which the
+  // buffering re-flush covers.
+  blocking_wait(g.wait_mutex(), g.wait_cv(), [&g] { return g.pending() == 0; });
   rethrow_pending_error();
 }
 
@@ -826,16 +800,25 @@ void Runtime::wait_on(const void* ptr, std::size_t bytes) {
 
   // A fence task with an in() clause on the range depends on exactly the
   // pending writers of that range; its completion raises `done`.  The
-  // flag lives on this stack frame: both exits below strictly outlive the
-  // fence's completion.
+  // flag lives on this stack frame, and the fence touches nothing on it
+  // after the store: a helping waiter's immortal BarrierWaiter rides in
+  // the fence by value, and a blocking waiter's condvar is a member.
   std::atomic<bool> done{false};
-  const bool helping =
-      tls_task_frame.runtime == this && tls_task_frame.task != nullptr;
+  BarrierWaiter* waiter =
+      tls_task_frame.runtime == this && tls_task_frame.task != nullptr
+          ? this_thread_waiter()
+          : nullptr;
   TaskOptions fence;
-  fence.accurate = [this, &done] {
+  fence.accurate = [this, &done, waiter] {
     done.store(true, std::memory_order_release);
-    // Blocking (non-helping) waiters sleep on wait_cv_; the lock/notify
-    // pair closes their check-then-sleep window.  Helping waiters poll.
+    if (waiter != nullptr) {
+      // Dekker pairing with help_until's park-then-recheck (parker.hpp).
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      waiter->notify();
+      return;
+    }
+    // Blocking waiters sleep on wait_cv_; the lock/notify pair closes
+    // their check-then-sleep window.
     support::MutexLock lock(wait_mutex_);
     wait_cv_.notify_all();
   };
@@ -843,13 +826,16 @@ void Runtime::wait_on(const void* ptr, std::size_t bytes) {
   fence.group = kDefaultGroup;
   fence.accesses.push_back({ptr, bytes, dep::Mode::In});
   spawn_impl(std::move(fence), /*internal=*/true);
-  if (helping) {
-    help_until([&done] { return done.load(std::memory_order_acquire); });
+  const auto fence_done = [&done] {
+    return done.load(std::memory_order_acquire);
+  };
+  if (waiter != nullptr) {
+    help_until(fence_done, /*wtask=*/nullptr, /*wgroup=*/nullptr, waiter);
   } else {
     // blocking_wait's re-flush also covers the fence: a concurrent
     // spawner may have registered a writer of this range in the tracker
     // and then parked it in a window AFTER our entry flush.
-    blocking_wait([&done] { return done.load(std::memory_order_acquire); });
+    blocking_wait(wait_mutex_, wait_cv_, fence_done);
   }
   rethrow_pending_error();
 }
@@ -858,7 +844,6 @@ bool Runtime::begin_blocking() {
   // Only meaningful from inside a task body of this runtime: the handoff
   // trades the worker slot for a spare thread so the pool keeps its width
   // while this body blocks on something external.
-  if (!config_.event_wakeup) return false;
   if (tls_task_frame.runtime != this || tls_task_frame.task == nullptr) {
     return false;
   }

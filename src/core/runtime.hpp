@@ -90,6 +90,12 @@ struct RuntimeStats {
   double wall_s = 0.0;
 };
 
+/// Helping-depth cap: an in-task barrier nested deeper than this many
+/// helping frames on one thread stops helping (C++ stack depth tracks
+/// helping depth) and blocks after handing its worker slot to a spare
+/// thread.
+inline constexpr unsigned kHelpingDepth = 16;
+
 class Runtime final : public energy::ActivitySource, private IssueSink {
  public:
   explicit Runtime(RuntimeConfig config = {});
@@ -165,8 +171,8 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   /// thread so the pool keeps its parallelism while the body blocks;
   /// returns true when a handoff happened.  One-way per episode: the
   /// thread re-pools when the task body unwinds, not when this returns.
-  /// No-op (false) from non-worker threads, in inline mode, or when
-  /// event_wakeup/max_spare_threads disable the elastic pool.
+  /// No-op (false) from non-worker threads, in inline mode, or when the
+  /// spare-thread budget is exhausted.
   bool begin_blocking();
 
   /// Elastic-pool counters (handoffs, spares, steal locality).
@@ -211,24 +217,27 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   void classify_at_dequeue(Task& task, unsigned worker);
   void spawn_impl(TaskOptions&& options, bool internal);
   /// Helping barrier core: runs/steals tasks on the calling thread until
-  /// `done()` holds.  With event_wakeup, a waiter that finds nothing
-  /// acquirable registers a BarrierWaiter on `wtask` (children scope) or
-  /// `wgroup` (quiescence scope) and parks — on its eventcount slot while
-  /// it owns one, on its Parker once it has handed the slot to a spare
-  /// (helping depth past the cap, or an enclosing begin_blocking()).  With
-  /// neither scope given — or event_wakeup off — it backs off by polling
-  /// (yield, then 50 µs sleeps), the PR-5 baseline.  Only entered from
-  /// inside a task body of this runtime.
+  /// `done()` holds.  A waiter that finds nothing acquirable parks until
+  /// the barrier's completion side notifies its BarrierWaiter: registered
+  /// lazily on `wtask` (children scope) or `wgroup` (quiescence scope), or
+  /// already handed to a wait_on fence as `waiter`.  It parks on its
+  /// eventcount slot while it owns one, on the waiter's own ParkSlot once
+  /// it has handed the slot to a spare (helping depth past kHelpingDepth,
+  /// or an enclosing begin_blocking()) or in inline mode.  Only entered
+  /// from inside a task body of this runtime.
   template <typename Done>
-  void help_until(Done done, Task* wtask = nullptr, TaskGroup* wgroup = nullptr);
-  /// Blocking barrier core (non-task threads), on wait_mutex_/wait_cv_:
-  /// a pure wake-driven sleep under pass-through policies, a 1 ms timed
-  /// loop re-flushing the policy under buffering ones — a task body may
-  /// spawn into a window DURING the barrier, invisible to the entry
-  /// flush.  Shared by wait_all and wait_on (wait_group sleeps on the
-  /// group's own condvar).
+  void help_until(Done done, Task* wtask, TaskGroup* wgroup,
+                  BarrierWaiter* waiter = nullptr);
+  /// Blocking barrier core (non-task threads), on a mutex/condvar pair
+  /// whose owner notifies `cv` when `done()` may have become true: a pure
+  /// wake-driven sleep under pass-through policies, a 1 ms timed loop
+  /// re-flushing the policy under buffering ones — a task body may spawn
+  /// into a window DURING the barrier, invisible to the entry flush.
+  /// Shared by wait_all and wait_on (on wait_mutex_/wait_cv_) and
+  /// wait_group (on the group's own pair).
   template <typename Done>
-  void blocking_wait(Done done);
+  void blocking_wait(support::Mutex& mutex, std::condition_variable& cv,
+                     Done done);
   void on_task_finished();
   void rethrow_pending_error();
   void publish_group(GroupId id, TaskGroup* group) noexcept;

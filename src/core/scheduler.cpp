@@ -36,15 +36,12 @@ thread_local std::uint64_t tls_inner_cycles = 0;
 }  // namespace
 
 Scheduler::Scheduler(unsigned workers, unsigned unreliable, bool steal,
-                     void* ctx, ExecuteFn execute, DequeueFn on_dequeue,
-                     SchedulerOptions options)
+                     void* ctx, ExecuteFn execute, DequeueFn on_dequeue)
     : steal_enabled_(steal),
       ctx_(ctx),
       execute_(execute),
       on_dequeue_(on_dequeue),
-      ec_(workers),
-      max_spares_(options.max_spares),
-      spare_grace_(options.spare_grace) {
+      ec_(workers) {
   assert(execute_ != nullptr && "scheduler needs an execute callback");
   worker_total_ = workers;
   if (workers > 0) {
@@ -53,9 +50,7 @@ Scheduler::Scheduler(unsigned workers, unsigned unreliable, bool steal,
   } else {
     reliable_count_ = 1;  // the inline pseudo-worker (index 0) is reliable
   }
-  const topo::Topology& topology = options.topology != nullptr
-                                       ? *options.topology
-                                       : topo::system_topology();
+  const topo::Topology& topology = topo::system_topology();
   slots_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
     auto slot = std::make_unique<WorkerSlot>();
@@ -163,7 +158,7 @@ unsigned Scheduler::pick_target(Partition part) noexcept {
 unsigned Scheduler::wake_workers(unsigned preferred, Partition part,
                                  unsigned count) {
   unsigned woken = 0;
-  if (preferred != kNoPreference && ec_.notify(preferred)) ++woken;
+  if (preferred != kNoPreference && ec_[preferred].notify()) ++woken;
   if (woken >= count || !steal_enabled_) return woken;
   // The task is stealable: hand the remaining wakes to parked workers
   // entitled to the partition.
@@ -171,7 +166,7 @@ unsigned Scheduler::wake_workers(unsigned preferred, Partition part,
   for (unsigned i = 0; i < n && woken < count; ++i) {
     if (i == preferred) continue;
     if (part == kReliableOnly && is_unreliable(i)) continue;
-    if (ec_.waiting(i) && ec_.notify(i)) ++woken;
+    if (ec_[i].waiting() && ec_[i].notify()) ++woken;
   }
   return woken;
 }
@@ -359,16 +354,12 @@ void Scheduler::enqueue_bulk(Task* const* tasks, std::size_t count) {
   unsigned budget =
       static_cast<unsigned>(std::min<std::size_t>(count, n));
   for (unsigned target = 0; target < n && budget > 0; ++target) {
-    if (was_empty[target] && ec_.notify(target)) --budget;
+    if (was_empty[target] && ec_[target].notify()) --budget;
   }
   if (steal_enabled_ && budget > 0) {
     wake_workers(kNoPreference, has_any_part ? kAnyWorker : kReliableOnly,
                  budget);
   }
-}
-
-bool Scheduler::on_worker_thread() const noexcept {
-  return tls_scheduler == this;
 }
 
 bool Scheduler::help_one() {
@@ -642,18 +633,19 @@ void Scheduler::worker_loop(unsigned index) {
 
     // Two-phase park (see eventcount.hpp): announce, re-check everything
     // we could possibly take — including the stop flag — then commit.
-    ec_.prepare_wait(index);
+    ParkSlot& park = ec_[index];
+    park.prepare_wait();
     if (stopping_.load(std::memory_order_acquire)) {
-      ec_.cancel_wait(index);
+      park.cancel_wait();
       if (!has_visible_work(index)) return;  // drained: exit
       continue;                              // keep draining
     }
     if (has_visible_work(index)) {
-      ec_.cancel_wait(index);
+      park.cancel_wait();
       continue;
     }
     slot.state.store(WorkerState::Sleeping, std::memory_order_relaxed);
-    ec_.commit_wait(index);
+    park.commit_wait();
   }
 }
 
@@ -686,7 +678,7 @@ void Scheduler::thread_main(PoolThread* self, int slot) {
       // cannot see through the lambda, so free_slots_ is re-checked on the
       // loop above instead.
       const bool signaled =
-          pool_cv_.wait_for(lk.native(), spare_grace_, [this]() SIGRT_NO_THREAD_SAFETY_ANALYSIS {
+          pool_cv_.wait_for(lk.native(), kSpareGrace, [this]() SIGRT_NO_THREAD_SAFETY_ANALYSIS {
             return stopping_.load(std::memory_order_acquire) ||
                    !free_slots_.empty();
           });
@@ -727,12 +719,11 @@ void Scheduler::spawn_pool_thread_locked(int slot) {
 
 bool Scheduler::detach_for_blocking() {
   if (inline_mode() || tls_scheduler != this || !tls_owns_slot) return false;
-  if (max_spares_ == 0) return false;
   {
     support::MutexLock lk(pool_mutex_);
     if (stopping_.load(std::memory_order_acquire)) return false;
     const bool idle_available = idle_spares_ > 0;
-    if (!idle_available && live_threads_ >= worker_total_ + max_spares_) {
+    if (!idle_available && live_threads_ >= worker_total_ + kMaxSpares) {
       return false;  // budget exhausted: caller must keep helping
     }
     free_slots_.push_back(tls_worker);
@@ -753,7 +744,7 @@ bool Scheduler::owns_current_slot() const noexcept {
   return tls_scheduler == this && tls_owns_slot;
 }
 
-unsigned Scheduler::current_worker() const noexcept { return tls_worker; }
+ParkSlot& Scheduler::current_park_slot() noexcept { return ec_[tls_worker]; }
 
 bool Scheduler::current_worker_unreliable() const noexcept {
   return tls_scheduler == this && tls_owns_slot && is_unreliable(tls_worker);
@@ -786,18 +777,19 @@ bool Scheduler::park_worker_for_barrier(bool (*open)(void*), void* ctx,
   // delivers the wake.  Producers publishing new work wake this slot the
   // same way they wake an idle worker — a parked helper stays live for
   // both events.
-  ec_.prepare_wait(i);
+  ParkSlot& park = ec_[i];
+  park.prepare_wait();
   if (stopping_.load(std::memory_order_acquire) || open(ctx) ||
       has_visible_work(i)) {
-    ec_.cancel_wait(i);
+    park.cancel_wait();
     return false;
   }
   WorkerSlot& slot = *slots_[i];
   slot.state.store(WorkerState::Sleeping, std::memory_order_relaxed);
   if (timeout.count() > 0) {
-    ec_.commit_wait_for(i, timeout);
+    park.commit_wait_for(timeout);
   } else {
-    ec_.commit_wait(i);
+    park.commit_wait();
   }
   slot.state.store(WorkerState::Scanning, std::memory_order_relaxed);
   return true;

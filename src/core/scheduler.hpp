@@ -90,17 +90,6 @@ struct PoolStats {
   std::uint64_t far_steals = 0;      ///< deque steals across packages
 };
 
-/// Elastic-pool tuning, normally filled from RuntimeConfig.
-struct SchedulerOptions {
-  /// Spare threads allowed beyond the base worker count; 0 disables slot
-  /// handoff (detach_for_blocking always fails).
-  unsigned max_spares = 16;
-  /// Idle grace before a surplus spare retires.
-  std::chrono::milliseconds spare_grace{5};
-  /// Topology driving the steal order; nullptr probes the host.
-  const topo::Topology* topology = nullptr;
-};
-
 class Scheduler {
  public:
   /// `execute` runs one task on the given worker index; it must not throw
@@ -118,8 +107,7 @@ class Scheduler {
   /// Approximate/Dropped (see RuntimeConfig::unreliable_workers); clamped
   /// to workers-1.
   Scheduler(unsigned workers, unsigned unreliable, bool steal, void* ctx,
-            ExecuteFn execute, DequeueFn on_dequeue = nullptr,
-            SchedulerOptions options = {});
+            ExecuteFn execute, DequeueFn on_dequeue = nullptr);
 
   /// Releases every parked worker, drains visible work, joins, and (in
   /// debug builds) asserts that every deque and inbox is empty.
@@ -156,11 +144,6 @@ class Scheduler {
   /// True when configured with zero worker threads.
   [[nodiscard]] bool inline_mode() const noexcept { return worker_total_ == 0; }
 
-  /// True when the calling thread is one of THIS scheduler's workers
-  /// (i.e. a task body is on the call stack).  Thread-local identity, so
-  /// nested or concurrent runtimes sharing a thread never confuse workers.
-  [[nodiscard]] bool on_worker_thread() const noexcept;
-
   /// Helping drain for in-task barriers: acquires and runs ONE task on the
   /// calling thread — the calling worker's own deques/inbox first, then a
   /// steal — and returns true if a task ran.  Returns false when no work is
@@ -181,7 +164,7 @@ class Scheduler {
   // current task body (its enqueues route remotely, its completions go to
   // shared counters) but can no longer help or pop; when its body unwinds
   // it re-enters the spare pool, where surplus threads retire after an
-  // idle grace period.  The pool is bounded (base workers + max_spares),
+  // idle grace period.  The pool is bounded (base workers + kMaxSpares),
   // so a detach can fail — callers must then keep helping instead.
 
   /// Hands the calling worker's slot to a spare thread so the caller may
@@ -191,12 +174,12 @@ class Scheduler {
   bool detach_for_blocking();
 
   /// True when the calling thread currently owns a worker slot (a
-  /// detached worker is on_worker_thread() but not slot-owning).
+  /// detached worker still runs its task body but owns no slot).
   [[nodiscard]] bool owns_current_slot() const noexcept;
 
-  /// The calling thread's slot index; only meaningful when
-  /// owns_current_slot().
-  [[nodiscard]] unsigned current_worker() const noexcept;
+  /// The calling worker's eventcount slot, where park_worker_for_barrier
+  /// parks it; only meaningful when owns_current_slot().
+  [[nodiscard]] ParkSlot& current_park_slot() noexcept;
 
   /// True when the calling thread owns a slot in the unreliable (NTC)
   /// range — the work-first inline throttle must not run Undecided tasks
@@ -218,12 +201,10 @@ class Scheduler {
   /// plus shutdown, then blocks (bounded by `timeout` unless zero).
   /// Returns false without parking when the re-check fired or the caller
   /// is not a slot-owning worker.  Producers wake the slot on new work as
-  /// usual; the barrier's completion side wakes it via notify_worker.
+  /// usual; the barrier's completion side wakes it through the waiter's
+  /// handle (current_park_slot()).
   bool park_worker_for_barrier(bool (*open)(void*), void* ctx,
                                std::chrono::microseconds timeout);
-
-  /// Wake worker slot `i` if parked (barrier-completion wakeups).
-  void notify_worker(unsigned i) noexcept { ec_.notify(i); }
 
   /// Elastic-pool and steal-locality counters.
   [[nodiscard]] PoolStats pool_stats() const;
@@ -370,8 +351,12 @@ class Scheduler {
   std::atomic<bool> stopping_{false};
 
   // --- elastic pool state (all guarded by pool_mutex_ unless atomic) -----
-  unsigned max_spares_ = 0;
-  std::chrono::milliseconds spare_grace_{5};
+  /// Spare threads allowed beyond the base worker count.  When the budget
+  /// is exhausted a too-deep waiter keeps helping (the stack bound yields
+  /// to liveness).
+  static constexpr unsigned kMaxSpares = 16;
+  /// Idle grace before a surplus spare retires.
+  static constexpr std::chrono::milliseconds kSpareGrace{5};
   mutable support::Mutex pool_mutex_;
   std::condition_variable pool_cv_;
   std::vector<std::unique_ptr<PoolThread>> pool_threads_

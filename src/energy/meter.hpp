@@ -5,8 +5,8 @@
 //   * RaplMeter   — reads the Linux powercap sysfs interface when present.
 //   * ModelMeter  — a calibrated activity-based model of the paper's machine,
 //                   used when RAPL is unavailable (e.g. containers, non-Intel
-//                   hosts).  See DESIGN.md §2 for why the substitution
-//                   preserves the paper's relative results.
+//                   hosts).  See energy/model.hpp for why the
+//                   substitution preserves the paper's relative results.
 // Both expose one cumulative counter so measurement scopes are identical
 // regardless of backend.
 #pragma once

@@ -51,14 +51,26 @@ class Stopwatch {
   std::int64_t start_ns_ = 0;  // 0 == not running
 };
 
+namespace detail {
+/// CycleClock's calibration anchor, taken during static initialization
+/// (timer.cpp) so the calibration window spans the process lifetime: an
+/// anchor taken at the first to_ns() call would convert every cycle
+/// accumulated before it at a ratio measured over a near-empty window.
+struct CycleAnchor {
+  std::int64_t ns;
+  std::uint64_t cycles;
+};
+extern const CycleAnchor kCycleAnchor;
+}  // namespace detail
+
 /// Cycle-granularity clock for per-task busy accounting.  A vDSO
 /// clock_gettime costs ~20-25 ns; two of them per task (enter/exit) were
 /// ~10% of the scheduler's per-task budget.  now() is a raw TSC read
 /// (~5 ns); readers convert accumulated cycle deltas to nanoseconds with
-/// to_ns(), which calibrates the TSC rate lazily against the monotonic
-/// clock over the interval since process start — conversion happens on the
-/// cold stats path, never per task.  Non-x86 builds fall back to now_ns()
-/// (cycles are then nanoseconds, ratio 1).
+/// to_ns(), which calibrates the TSC rate against the monotonic clock over
+/// the interval since static initialization (the calibration anchor) —
+/// conversion happens on the cold stats path, never per task.  Non-x86
+/// builds fall back to now_ns() (cycles are then nanoseconds, ratio 1).
 class CycleClock {
  public:
   [[nodiscard]] static std::uint64_t now() noexcept {
@@ -79,8 +91,8 @@ class CycleClock {
   }
 
   /// Converts a cycle delta to nanoseconds.  Accuracy improves with the
-  /// length of the calibration window (the process lifetime so far); the
-  /// first call within ~1 ms of startup may be coarse, which only affects
+  /// length of the calibration window (the process lifetime so far); a
+  /// call within ~1 ms of startup may be coarse, which only affects
   /// diagnostic stats read that early.
   [[nodiscard]] static std::int64_t to_ns(std::uint64_t cycles) noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -93,10 +105,8 @@ class CycleClock {
 
  private:
   [[nodiscard]] static double ns_per_cycle() noexcept {
-    static const std::int64_t anchor_ns = now_ns();
-    static const std::uint64_t anchor_cycles = now();
-    const std::int64_t dn = now_ns() - anchor_ns;
-    const std::uint64_t dc = now() - anchor_cycles;
+    const std::int64_t dn = now_ns() - detail::kCycleAnchor.ns;
+    const std::uint64_t dc = now() - detail::kCycleAnchor.cycles;
     if (dc == 0 || dn <= 0) return 1.0;
     return static_cast<double>(dn) / static_cast<double>(dc);
   }

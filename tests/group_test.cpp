@@ -2,6 +2,7 @@
 // retargeting, reset.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "core/group.hpp"
@@ -101,6 +102,13 @@ TEST(TaskGroup, InternalTasksExcludedFromStats) {
   EXPECT_EQ(r.spawned, 1u);  // spawn still tracked for the barrier
 }
 
+/// A blocking barrier on the group's wait channel, as Runtime::wait_group
+/// issues it from a non-task thread.
+void wait_quiesced(const TaskGroup& g) {
+  sigrt::support::MutexLock lock(g.wait_mutex());
+  g.wait_cv().wait(lock.native(), [&g] { return g.pending() == 0; });
+}
+
 TEST(TaskGroup, WaitBlocksUntilPendingZero) {
   TaskGroup g(1, "g", 1.0, true);
   g.on_spawn();
@@ -108,14 +116,14 @@ TEST(TaskGroup, WaitBlocksUntilPendingZero) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     g.on_complete(ExecutionKind::Accurate, 1.0f, 1.0, false);
   });
-  g.wait();
+  wait_quiesced(g);  // woken by the quiescence broadcast
   EXPECT_EQ(g.pending(), 0u);
   completer.join();
 }
 
 TEST(TaskGroup, WaitReturnsImmediatelyWhenIdle) {
   TaskGroup g(1, "g", 1.0, true);
-  g.wait();  // must not block
+  wait_quiesced(g);  // must not block
   SUCCEED();
 }
 

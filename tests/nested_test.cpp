@@ -4,6 +4,7 @@
 // policy.  This suite runs under TSan in CI — it is the data-race gate
 // for the multi-spawner runtime contract.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/sigrt.hpp"
+#include "support/timer.hpp"
 
 namespace {
 
@@ -211,6 +213,40 @@ TEST(Nested, InTaskWaitOnWaitsRangeWriters) {
   }));
   rt.wait_all();
   EXPECT_TRUE(checked.load());
+}
+
+TEST(Nested, InTaskWaitOnParksInsteadOfPolling) {
+  // The writer is in flight on the other worker for 100 ms, so the waiter
+  // has nothing to help.  It must park until the fence notifies it: one
+  // voluntary context switch plus slack for spurious wakes.  A 50 us poll
+  // loop would switch >= 25 times even if every sleep stretched to a 4 ms
+  // tick.  Yields are involuntary switches and do not count.
+  Runtime rt(workers_config(2));
+  alignas(1024) static int data[256];
+  std::atomic<bool> started{false};
+  std::atomic<long> switches{-1};
+  rt.spawn(sigrt::task([&] {
+    rt.spawn(sigrt::task([&] {
+                started.store(true, std::memory_order_seq_cst);
+                const std::int64_t t0 = sigrt::support::now_ns();
+                while (sigrt::support::now_ns() - t0 < 100'000'000) {
+                }
+                data[0] = 1;
+              }).out(data, sizeof(data)));
+    while (!started.load(std::memory_order_seq_cst)) {
+      std::this_thread::yield();
+    }
+    rusage before{};
+    getrusage(RUSAGE_THREAD, &before);
+    rt.wait_on(data, sizeof(data));
+    rusage after{};
+    getrusage(RUSAGE_THREAD, &after);
+    switches.store(after.ru_nvcsw - before.ru_nvcsw);
+    EXPECT_EQ(data[0], 1);
+  }));
+  rt.wait_all();
+  EXPECT_GE(switches.load(), 0);
+  EXPECT_LE(switches.load(), 4);
 }
 
 class NestedGtb : public ::testing::TestWithParam<unsigned> {};

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <set>
@@ -150,6 +152,21 @@ TEST(Timer, ScopedTimerAddsToSink) {
     for (int i = 0; i < 50000; ++i) x = x * 1.0000001;
   }
   EXPECT_GT(sink, 0);
+}
+
+TEST(Timer, CycleClockCalibratesOverTheProcessLifetime) {
+  // The calibration anchor is taken at static initialization, so the first
+  // to_ns() of a process already converts at a ratio measured over its
+  // whole life — not over the near-empty window since that first call.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t c0 = CycleClock::now();
+  const std::int64_t t0 = now_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint64_t c1 = CycleClock::now();
+  const std::int64_t t1 = now_ns();
+  const auto wall = static_cast<double>(t1 - t0);
+  const auto converted = static_cast<double>(CycleClock::to_ns(c1 - c0));
+  EXPECT_NEAR(converted, wall, 0.1 * wall);
 }
 
 TEST(Table, RendersAlignedColumnsAndCsv) {
